@@ -178,7 +178,7 @@ func (e *Engine) searchBatchSerial(ctx context.Context, qc *dataset.Collection, 
 			return err
 		}
 		if timed {
-			q.Stats.AddElapsed(time.Since(start))
+			q.Stats.Add(core.CounterElapsedNanos, int64(time.Since(start)))
 		}
 		out[qi] = ms
 		return nil

@@ -391,7 +391,7 @@ func (e *Engine) SetName(i int) string {
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var st core.StatsSnapshot
+	var st core.Counters
 	out := Stats{}
 	if e.sh != nil {
 		st = e.sh.Stats()
@@ -404,26 +404,21 @@ func (e *Engine) Stats() Stats {
 		out.Tombstones = e.eng.Tombstones()
 		out.Compactions = e.eng.Compactions()
 	}
-	out.SearchPasses = st.SearchPasses
-	out.FullScans = st.FullScans
-	out.SigTokens = st.SigTokens
-	out.Candidates = st.Candidates
-	out.AfterCheck = st.AfterCheck
-	out.CheckPruned = st.CheckPruned
-	out.AfterNN = st.AfterNN
-	out.NNPruned = st.NNPruned
-	out.Verified = st.Verified
-	out.SchemeWeighted = st.SchemeWeighted
-	out.SchemeSkyline = st.SchemeSkyline
-	out.SchemeDichotomy = st.SchemeDichotomy
-	out.SchemeCombUnweighted = st.SchemeCombUnweighted
-	out.TimedPasses = st.TimedPasses
-	out.Stages = StageTimes{
-		Signature: time.Duration(st.SigNanos),
-		Collect:   time.Duration(st.CollectNanos),
-		Refine:    time.Duration(st.RefineNanos),
-		Verify:    time.Duration(st.VerifyNanos),
-	}
+	out.SearchPasses = st[core.CounterPasses]
+	out.FullScans = st[core.CounterFullScans]
+	out.SigTokens = st[core.CounterSigTokens]
+	out.Candidates = st[core.CounterCandidates]
+	out.AfterCheck = st[core.CounterAfterCheck]
+	out.CheckPruned = st[core.CounterCheckPruned]
+	out.AfterNN = st[core.CounterAfterNN]
+	out.NNPruned = st[core.CounterNNPruned]
+	out.Verified = st[core.CounterVerified]
+	out.SchemeWeighted = st[core.CounterSchemeWeighted]
+	out.SchemeSkyline = st[core.CounterSchemeSkyline]
+	out.SchemeDichotomy = st[core.CounterSchemeDichotomy]
+	out.SchemeCombUnweighted = st[core.CounterSchemeCombUnweighted]
+	out.TimedPasses = st[core.CounterTimedPasses]
+	out.Stages = stageTimes(&st)
 	var ps index.StorageStats
 	if e.sh != nil {
 		out.Stragglers = e.sh.Stragglers()

@@ -49,9 +49,9 @@ func TestParallelDiscoverByteIdentical(t *testing.T) {
 			t.Fatalf("pair %d differs: serial %+v, parallel %+v", i, ps[i], pp[i])
 		}
 	}
-	if engS.Stats().Verified != engP.Stats().Verified {
+	if engS.Stats()[CounterVerified] != engP.Stats()[CounterVerified] {
 		t.Errorf("verified counts differ: serial %d, parallel %d",
-			engS.Stats().Verified, engP.Stats().Verified)
+			engS.Stats()[CounterVerified], engP.Stats()[CounterVerified])
 	}
 }
 
@@ -89,7 +89,7 @@ func TestParallelSearchByteIdentical(t *testing.T) {
 	// The corpus must actually have driven the sharded path at least once:
 	// passes with >= parallelCandMin surviving candidates.
 	st := engP.Stats()
-	if st.AfterCheck >= int64(parallelCandMin) {
+	if st[CounterAfterCheck] >= int64(parallelCandMin) {
 		sawParallel = true
 	}
 	if !sawParallel {

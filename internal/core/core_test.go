@@ -103,18 +103,14 @@ func TestStatsCounting(t *testing.T) {
 	eng, r := paperEngine(t, opts)
 	search(eng, r)
 	st := eng.Stats()
-	if st.SearchPasses != 1 {
-		t.Errorf("passes = %d", st.SearchPasses)
+	if st[CounterPasses] != 1 {
+		t.Errorf("passes = %d", st[CounterPasses])
 	}
-	if st.Candidates == 0 || st.Verified == 0 {
+	if st[CounterCandidates] == 0 || st[CounterVerified] == 0 {
 		t.Errorf("stats not counted: %+v", st)
 	}
-	if st.AfterNN > st.AfterCheck || st.AfterCheck > st.Candidates {
+	if st[CounterAfterNN] > st[CounterAfterCheck] || st[CounterAfterCheck] > st[CounterCandidates] {
 		t.Errorf("funnel not monotone: %+v", st)
-	}
-	eng.ResetStats()
-	if eng.Stats().SearchPasses != 0 {
-		t.Error("ResetStats failed")
 	}
 }
 
@@ -312,9 +308,9 @@ func TestConcurrentDiscoverMatchesSerial(t *testing.T) {
 		}
 	}
 	// Both engines did the same logical work.
-	if engS.Stats().Verified != engP.Stats().Verified {
+	if engS.Stats()[CounterVerified] != engP.Stats()[CounterVerified] {
 		t.Errorf("verified counts differ: %d vs %d",
-			engP.Stats().Verified, engS.Stats().Verified)
+			engP.Stats()[CounterVerified], engS.Stats()[CounterVerified])
 	}
 }
 
@@ -395,7 +391,7 @@ func TestFullScanFallback(t *testing.T) {
 	if len(pairs) != len(want) {
 		t.Fatalf("full-scan fallback diverges: %d vs %d", len(pairs), len(want))
 	}
-	if eng.Stats().FullScans == 0 {
+	if eng.Stats()[CounterFullScans] == 0 {
 		t.Error("expected full-scan fallbacks to be counted")
 	}
 	// Eds("abcdefgh","abcdefgx") = 15/17 → similarity 0.79 ≥ 0.75: A~B.

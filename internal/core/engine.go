@@ -66,7 +66,7 @@ type Engine struct {
 	coll *dataset.Collection
 	ix   *index.Inverted
 	phi  filter.SimFunc
-	st   Stats
+	st   Counters
 	// stage holds the per-stage latency histograms fed by timed passes
 	// (Options.StageSample); snapshot via StageLatencies.
 	stage [NumStages]obs.Histogram

@@ -18,6 +18,19 @@
 // gates in alloc_test.go. Deliberately allocating paths (fullScan,
 // verifyAll, verifyParallel) are left unannotated; keep the marker off any
 // function that is supposed to allocate.
+//
+// # Counters
+//
+// The pipeline funnel — passes, full scans, signature tokens, candidates,
+// check and nearest-neighbor survivors and prunes, verifications, the
+// per-scheme split, and the sampled per-stage wall time — is one Counters
+// array indexed by the Counter enum, whose String is the one name table.
+// The same type is a worker's private shard, the engine's cumulative
+// total (Stats), and a query's own capture (Query.Stats). A plan's stages
+// charge each event once, through plan.charge, to the worker's shard and
+// the capture together. Adding a counter takes one enum row and its name;
+// the public Stats/Explain field and any /metrics row live with their
+// callers.
 package core
 
 import (

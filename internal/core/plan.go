@@ -11,159 +11,6 @@ import (
 	"silkmoth/internal/signature"
 )
 
-// PassStats captures the per-stage funnel of a single logical query — one
-// search pass, or the sum of the passes one query fans out into (every
-// shard of a scatter-gather, every reference of a discovery). It is the
-// per-query counterpart of the engine's cumulative Stats: a query that
-// wants its own funnel hangs a PassStats off its Query and reads it back
-// after the call returns.
-//
-// All adds are atomic, so one PassStats may be shared by the concurrent
-// passes of one query (shard fan-out, parallel verification); the fields
-// must only be read once the query has returned.
-type PassStats struct {
-	// Passes counts the search passes that charged this capture (shards ×
-	// references).
-	Passes int64
-	// FullScans counts passes with no valid signature that fell back to
-	// comparing every set.
-	FullScans int64
-	// SigTokens is the number of signature tokens generated — the index
-	// probe volume.
-	SigTokens int64
-	// Candidates counts sets matched by signature tokens before any
-	// refinement; AfterCheck/CheckPruned split them by the check filter
-	// (Candidates = AfterCheck + CheckPruned), and AfterNN/NNPruned split
-	// the survivors by the nearest-neighbor filter.
-	Candidates  int64
-	AfterCheck  int64
-	CheckPruned int64
-	AfterNN     int64
-	NNPruned    int64
-	// Verified counts maximum-matching computations.
-	Verified int64
-	// Scheme* count signatured passes by the concrete scheme that probed
-	// the index (per-shard choices may differ under Auto).
-	SchemeWeighted       int64
-	SchemeSkyline        int64
-	SchemeDichotomy      int64
-	SchemeCombUnweighted int64
-	// ElapsedNanos accumulates wall time at whatever granularity the
-	// caller measures (whole query, or per batch item).
-	ElapsedNanos int64
-	// Per-stage wall time summed over the capture's timed passes. A query
-	// with a capture is always timed, so these are populated whenever the
-	// funnel is; TimedPasses counts the passes measured (equal to Passes
-	// for explained queries).
-	TimedPasses  int64
-	SigNanos     int64
-	CollectNanos int64
-	RefineNanos  int64
-	VerifyNanos  int64
-}
-
-// The add methods are nil-safe so the plan's stages charge them
-// unconditionally; a query without capture pays one predicted branch.
-
-func (ps *PassStats) addPasses(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.Passes, n)
-	}
-}
-
-func (ps *PassStats) addFullScans(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.FullScans, n)
-	}
-}
-
-func (ps *PassStats) addSigTokens(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.SigTokens, n)
-	}
-}
-
-func (ps *PassStats) addCandidates(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.Candidates, n)
-	}
-}
-
-func (ps *PassStats) addAfterCheck(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.AfterCheck, n)
-	}
-}
-
-func (ps *PassStats) addCheckPruned(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.CheckPruned, n)
-	}
-}
-
-func (ps *PassStats) addAfterNN(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.AfterNN, n)
-	}
-}
-
-func (ps *PassStats) addNNPruned(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.NNPruned, n)
-	}
-}
-
-func (ps *PassStats) addVerified(n int64) {
-	if ps != nil {
-		atomic.AddInt64(&ps.Verified, n)
-	}
-}
-
-func (ps *PassStats) addScheme(k signature.Kind) {
-	if ps == nil {
-		return
-	}
-	switch k {
-	case signature.Weighted:
-		atomic.AddInt64(&ps.SchemeWeighted, 1)
-	case signature.CombUnweighted:
-		atomic.AddInt64(&ps.SchemeCombUnweighted, 1)
-	case signature.Skyline:
-		atomic.AddInt64(&ps.SchemeSkyline, 1)
-	case signature.Dichotomy:
-		atomic.AddInt64(&ps.SchemeDichotomy, 1)
-	}
-}
-
-// addStageNanos records one timed pass's per-stage wall time.
-func (ps *PassStats) addStageNanos(sig, collect, refine, verify int64) {
-	if ps == nil {
-		return
-	}
-	atomic.AddInt64(&ps.TimedPasses, 1)
-	atomic.AddInt64(&ps.SigNanos, sig)
-	atomic.AddInt64(&ps.CollectNanos, collect)
-	atomic.AddInt64(&ps.RefineNanos, refine)
-	atomic.AddInt64(&ps.VerifyNanos, verify)
-}
-
-// AddElapsed folds wall time into the capture (atomically, like every other
-// field). Batch paths call it per item; single-query callers usually
-// measure around the whole call instead.
-func (ps *PassStats) AddElapsed(d time.Duration) {
-	if ps != nil {
-		atomic.AddInt64(&ps.ElapsedNanos, int64(d))
-	}
-}
-
-// Elapsed returns the accumulated wall time.
-func (ps *PassStats) Elapsed() time.Duration {
-	if ps == nil {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&ps.ElapsedNanos))
-}
-
 // worker bundles the per-goroutine scratch of search passes — everything a
 // pass reuses across queries so the steady-state hot path performs no
 // per-query heap allocations:
@@ -195,7 +42,7 @@ type worker struct {
 	// closure is created once per worker so passes never allocate it.
 	acc      acceptState
 	acceptFn func(set int32) bool
-	st       Stats
+	st       Counters
 	// passSeq drives stage-timing sampling (see sampleTick); single-
 	// goroutine like the rest of the worker.
 	passSeq int64
@@ -240,10 +87,10 @@ func (e *Engine) newWorker() *worker {
 //	refine      nearest-neighbor filter (Algorithm 2)
 //	verify      exact maximum-matching verification
 //
-// Every stage charges the worker's stats shard, so the funnel — signature
-// size, candidates, check/NN prunes, verifications — is observable per
-// engine. The plan itself lives on the stack; all reusable state belongs to
-// the worker.
+// Every stage charges its funnel counts through charge, so the funnel —
+// signature size, candidates, check/NN prunes, verifications — is
+// observable per engine and per query. The plan itself lives on the stack;
+// all reusable state belongs to the worker.
 type plan struct {
 	e          *Engine
 	w          *worker
@@ -254,18 +101,16 @@ type plan struct {
 	// with the query's overrides applied (queryOptions). Every stage reads
 	// it, never e.opts, so per-query overrides reach the whole pipeline.
 	opts Options
-	// ps is the query's own stats capture, nil unless requested. It is
-	// charged in lockstep with the worker's cumulative shard.
-	ps *PassStats
+	// ps is the query's own stats capture, nil unless requested. charge
+	// adds to it together with the worker's cumulative shard.
+	ps *Counters
 	// timed marks a pass whose stages are wall-timed: sampled per
-	// Options.StageSample, or unconditionally when ps != nil. sigNanos and
-	// collectNanos are written serially; refineNanos/verifyNanos accumulate
-	// under atomics because parallel verification shares the plan.
-	timed        bool
-	sigNanos     int64
-	collectNanos int64
-	refineNanos  int64
-	verifyNanos  int64
+	// Options.StageSample, or unconditionally when ps != nil. nanos holds
+	// the pass's per-stage wall time, indexed by Stage: signature and
+	// collect are written serially; refine and verify accumulate under
+	// atomics because parallel verification shares the plan.
+	timed bool
+	nanos [NumStages]int64
 
 	pruneThreshold float64
 	scheme         signature.Kind
@@ -285,16 +130,6 @@ type plan struct {
 //
 //silkmoth:hotpath
 func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w *worker, parallelOK bool, q *Query) ([]Match, error) {
-	w.st.addSearchPasses(1)
-	var ps *PassStats
-	if q != nil {
-		ps = q.Stats
-	}
-	ps.addPasses(1)
-	nR := len(r.Elements)
-	if nR == 0 {
-		return nil, nil
-	}
 	p := plan{
 		e:          e,
 		w:          w,
@@ -302,14 +137,21 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 		selfSkip:   selfSkip,
 		parallelOK: parallelOK,
 		opts:       e.queryOptions(q),
-		ps:         ps,
+	}
+	if q != nil {
+		p.ps = q.Stats
+	}
+	p.charge(w, CounterPasses, 1)
+	nR := len(r.Elements)
+	if nR == 0 {
+		return nil, nil
 	}
 	p.pruneThreshold = p.opts.Delta*float64(nR) - pruneSlack
 	w.acc.selfSkip = selfSkip
 	w.acc.nR = nR
 	w.acc.delta = p.opts.Delta
 	// Explained queries are always stage-timed; otherwise sampling decides.
-	p.timed = ps != nil || w.sampleTick(p.opts.StageSample)
+	p.timed = p.ps != nil || w.sampleTick(p.opts.StageSample)
 
 	if !p.timed {
 		if !p.buildSignature() {
@@ -325,24 +167,35 @@ func (e *Engine) searchPass(ctx context.Context, r *dataset.Set, selfSkip int, w
 	t0 := time.Now()
 	if !p.buildSignature() {
 		t1 := time.Now()
-		p.sigNanos = t1.Sub(t0).Nanoseconds()
+		p.nanos[StageSignature] = t1.Sub(t0).Nanoseconds()
 		ms, err = p.fullScan(ctx)
 		// The signatureless fallback is all verification.
-		p.verifyNanos = time.Since(t1).Nanoseconds()
+		p.nanos[StageVerify] = time.Since(t1).Nanoseconds()
 	} else {
 		t1 := time.Now()
-		p.sigNanos = t1.Sub(t0).Nanoseconds()
+		p.nanos[StageSignature] = t1.Sub(t0).Nanoseconds()
 		p.collect()
 		t2 := time.Now()
-		p.collectNanos = t2.Sub(t1).Nanoseconds()
+		p.nanos[StageCollect] = t2.Sub(t1).Nanoseconds()
 		p.prepareRefine()
 		// Floor precomputation belongs to refinement; the per-candidate
 		// NN-filter/verify split is timed inside refineAndVerify.
-		p.refineNanos = time.Since(t2).Nanoseconds()
+		p.nanos[StageRefine] = time.Since(t2).Nanoseconds()
 		ms, err = p.verifyAll(ctx)
 	}
 	p.finishTiming()
 	return ms, err
+}
+
+// charge adds n to counter c in both of the pass's counter sets: the
+// charging worker's private shard (merged into the engine's cumulative
+// counters when the worker retires) and the query's capture, if any. It
+// is the only way a stage counts, so the two sets cannot drift apart.
+//
+//silkmoth:hotpath
+func (p *plan) charge(w *worker, c Counter, n int64) {
+	w.st.Add(c, n)
+	p.ps.Add(c, n)
 }
 
 // buildSignature runs the signature stage: the worker's selector resolves
@@ -360,18 +213,15 @@ func (p *plan) buildSignature() bool {
 	}, e.ix)
 	p.sig, p.scheme = sig, kind
 	if !sig.Valid {
-		w.st.addFullScans(1)
-		p.ps.addFullScans(1)
+		p.charge(w, CounterFullScans, 1)
 		return false
 	}
-	w.st.addScheme(kind)
-	p.ps.addScheme(kind)
+	p.charge(w, schemeCounter(kind), 1)
 	n := 0
 	for i := range sig.Elements {
 		n += len(sig.Elements[i].Tokens)
 	}
-	w.st.addSigTokens(int64(n))
-	p.ps.addSigTokens(int64(n))
+	p.charge(w, CounterSigTokens, int64(n))
 	return true
 }
 
@@ -389,8 +239,7 @@ func (p *plan) fullScan(ctx context.Context) ([]Match, error) {
 		if !w.acceptFn(int32(s)) {
 			continue
 		}
-		w.st.addVerified(1)
-		p.ps.addVerified(1)
+		p.charge(w, CounterVerified, 1)
 		if m, ok := e.verifyWith(p.r, s, &w.vs, &p.opts); ok {
 			out = append(out, m)
 		}
@@ -411,13 +260,10 @@ func (p *plan) collect() {
 		PruneThreshold: p.pruneThreshold,
 	})
 	p.cands = cands
-	w.st.addCandidates(int64(raw))
-	p.ps.addCandidates(int64(raw))
-	w.st.addAfterCheck(int64(len(cands)))
-	p.ps.addAfterCheck(int64(len(cands)))
+	p.charge(w, CounterCandidates, int64(raw))
+	p.charge(w, CounterAfterCheck, int64(len(cands)))
 	if p.opts.CheckFilter {
-		w.st.addCheckPruned(int64(raw - len(cands)))
-		p.ps.addCheckPruned(int64(raw - len(cands)))
+		p.charge(w, CounterCheckPruned, int64(raw-len(cands)))
 	}
 }
 
@@ -465,33 +311,27 @@ func (p *plan) refineAndVerify(c *filter.Candidate, w *worker) (Match, bool) {
 	e := p.e
 	if !p.timed {
 		if p.opts.NNFilter && !filter.NNFilter(p.r, p.sig, c, w.ns, p.floors, p.pruneThreshold) {
-			w.st.addNNPruned(1)
-			p.ps.addNNPruned(1)
+			p.charge(w, CounterNNPruned, 1)
 			return Match{}, false
 		}
-		w.st.addAfterNN(1)
-		p.ps.addAfterNN(1)
-		w.st.addVerified(1)
-		p.ps.addVerified(1)
+		p.charge(w, CounterAfterNN, 1)
+		p.charge(w, CounterVerified, 1)
 		return e.verifyWith(p.r, int(c.Set), &w.vs, &p.opts)
 	}
 	// Timed pass: split this candidate's cost between the refine and
 	// verify stages. Atomic adds — parallel verification shares the plan.
 	t0 := time.Now()
 	if p.opts.NNFilter && !filter.NNFilter(p.r, p.sig, c, w.ns, p.floors, p.pruneThreshold) {
-		w.st.addNNPruned(1)
-		p.ps.addNNPruned(1)
-		atomic.AddInt64(&p.refineNanos, time.Since(t0).Nanoseconds())
+		p.charge(w, CounterNNPruned, 1)
+		atomic.AddInt64(&p.nanos[StageRefine], time.Since(t0).Nanoseconds())
 		return Match{}, false
 	}
 	t1 := time.Now()
-	atomic.AddInt64(&p.refineNanos, t1.Sub(t0).Nanoseconds())
-	w.st.addAfterNN(1)
-	p.ps.addAfterNN(1)
-	w.st.addVerified(1)
-	p.ps.addVerified(1)
+	atomic.AddInt64(&p.nanos[StageRefine], t1.Sub(t0).Nanoseconds())
+	p.charge(w, CounterAfterNN, 1)
+	p.charge(w, CounterVerified, 1)
 	m, ok := e.verifyWith(p.r, int(c.Set), &w.vs, &p.opts)
-	atomic.AddInt64(&p.verifyNanos, time.Since(t1).Nanoseconds())
+	atomic.AddInt64(&p.nanos[StageVerify], time.Since(t1).Nanoseconds())
 	return m, ok
 }
 

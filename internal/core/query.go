@@ -61,9 +61,9 @@ type Query struct {
 	Reduction   Toggle
 	// Stats, when non-nil, captures this query's own per-stage funnel in
 	// addition to the engine's cumulative counters. Adds are atomic, so
-	// one PassStats may absorb a whole scatter-gather or batch item; read
+	// one capture may absorb a whole scatter-gather or batch item; read
 	// it only after the query returns.
-	Stats *PassStats
+	Stats *Counters
 }
 
 // Validate checks the override values against the engine-independent

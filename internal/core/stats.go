@@ -1,198 +1,131 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"silkmoth/internal/signature"
 )
 
-// Stats counts the work done by an engine across all search passes, stage
-// by stage: signature generation (size and chosen scheme), candidate
-// selection, the check filter, the nearest-neighbor filter, and exact
-// verification. All counters are cumulative and safe to read concurrently.
-type Stats struct {
-	searchPasses int64
-	fullScans    int64
-	sigTokens    int64
-	candidates   int64
-	afterCheck   int64
-	checkPruned  int64
-	afterNN      int64
-	nnPruned     int64
-	verified     int64
-	// Concrete scheme each signatured pass probed with — under Scheme
-	// Auto this is the per-query cost-based choice; under a fixed scheme
-	// it just counts passes.
-	schemeWeighted  int64
-	schemeComb      int64
-	schemeSkyline   int64
-	schemeDichotomy int64
-	// Stage wall time from sampled timed passes (see Options.StageSample):
-	// timedPasses counts the passes measured, the nanos fields their summed
-	// per-stage durations. Divide to estimate where a pass spends its time.
-	timedPasses  int64
-	sigNanos     int64
-	collectNanos int64
-	refineNanos  int64
-	verifyNanos  int64
-}
+// Counter names one count of the pipeline funnel: signature generation
+// (size and chosen scheme), candidate selection, the check filter, the
+// nearest-neighbor filter, exact verification, and the sampled per-stage
+// wall time. It indexes Counters.
+type Counter int
 
-func (s *Stats) addSearchPasses(n int64) { atomic.AddInt64(&s.searchPasses, n) }
-func (s *Stats) addFullScans(n int64)    { atomic.AddInt64(&s.fullScans, n) }
-func (s *Stats) addSigTokens(n int64)    { atomic.AddInt64(&s.sigTokens, n) }
-func (s *Stats) addCandidates(n int64)   { atomic.AddInt64(&s.candidates, n) }
-func (s *Stats) addAfterCheck(n int64)   { atomic.AddInt64(&s.afterCheck, n) }
-func (s *Stats) addCheckPruned(n int64)  { atomic.AddInt64(&s.checkPruned, n) }
-func (s *Stats) addAfterNN(n int64)      { atomic.AddInt64(&s.afterNN, n) }
-func (s *Stats) addNNPruned(n int64)     { atomic.AddInt64(&s.nnPruned, n) }
-func (s *Stats) addVerified(n int64)     { atomic.AddInt64(&s.verified, n) }
-
-// addStageNanos records one timed pass's per-stage wall time.
-func (s *Stats) addStageNanos(sig, collect, refine, verify int64) {
-	atomic.AddInt64(&s.timedPasses, 1)
-	atomic.AddInt64(&s.sigNanos, sig)
-	atomic.AddInt64(&s.collectNanos, collect)
-	atomic.AddInt64(&s.refineNanos, refine)
-	atomic.AddInt64(&s.verifyNanos, verify)
-}
-
-// addScheme records which concrete scheme a pass probed with.
-func (s *Stats) addScheme(k signature.Kind) {
-	switch k {
-	case signature.Weighted:
-		atomic.AddInt64(&s.schemeWeighted, 1)
-	case signature.CombUnweighted:
-		atomic.AddInt64(&s.schemeComb, 1)
-	case signature.Skyline:
-		atomic.AddInt64(&s.schemeSkyline, 1)
-	case signature.Dichotomy:
-		atomic.AddInt64(&s.schemeDichotomy, 1)
-	}
-}
-
-// merge folds a retiring worker's stats shard into s. Workers accumulate
-// privately and merge once, so hot verification loops never contend on the
-// engine's shared counters.
-func (s *Stats) merge(from *Stats) {
-	atomic.AddInt64(&s.searchPasses, atomic.LoadInt64(&from.searchPasses))
-	atomic.AddInt64(&s.fullScans, atomic.LoadInt64(&from.fullScans))
-	atomic.AddInt64(&s.sigTokens, atomic.LoadInt64(&from.sigTokens))
-	atomic.AddInt64(&s.candidates, atomic.LoadInt64(&from.candidates))
-	atomic.AddInt64(&s.afterCheck, atomic.LoadInt64(&from.afterCheck))
-	atomic.AddInt64(&s.checkPruned, atomic.LoadInt64(&from.checkPruned))
-	atomic.AddInt64(&s.afterNN, atomic.LoadInt64(&from.afterNN))
-	atomic.AddInt64(&s.nnPruned, atomic.LoadInt64(&from.nnPruned))
-	atomic.AddInt64(&s.verified, atomic.LoadInt64(&from.verified))
-	atomic.AddInt64(&s.schemeWeighted, atomic.LoadInt64(&from.schemeWeighted))
-	atomic.AddInt64(&s.schemeComb, atomic.LoadInt64(&from.schemeComb))
-	atomic.AddInt64(&s.schemeSkyline, atomic.LoadInt64(&from.schemeSkyline))
-	atomic.AddInt64(&s.schemeDichotomy, atomic.LoadInt64(&from.schemeDichotomy))
-	atomic.AddInt64(&s.timedPasses, atomic.LoadInt64(&from.timedPasses))
-	atomic.AddInt64(&s.sigNanos, atomic.LoadInt64(&from.sigNanos))
-	atomic.AddInt64(&s.collectNanos, atomic.LoadInt64(&from.collectNanos))
-	atomic.AddInt64(&s.refineNanos, atomic.LoadInt64(&from.refineNanos))
-	atomic.AddInt64(&s.verifyNanos, atomic.LoadInt64(&from.verifyNanos))
-}
-
-// reset zeroes a retired worker's private shard so the worker can be pooled
-// and reused without double-counting. Only safe on shards with no
-// concurrent writers.
-func (s *Stats) reset() {
-	*s = Stats{}
-}
-
-// StatsSnapshot is a point-in-time copy of an engine's counters.
-type StatsSnapshot struct {
-	// SearchPasses is the number of search passes run.
-	SearchPasses int64
-	// FullScans counts passes that fell back to comparing every set
-	// because no valid signature existed (edit similarity, §7.3).
-	FullScans int64
-	// SigTokens is the total number of per-element signature tokens
-	// generated across signatured passes — the probe volume drivers.
-	SigTokens int64
-	// Candidates counts sets matched by signature tokens, before any
+const (
+	// CounterPasses counts search passes.
+	CounterPasses Counter = iota
+	// CounterFullScans counts passes that fell back to comparing every
+	// set because no valid signature existed (edit similarity, §7.3).
+	CounterFullScans
+	// CounterSigTokens counts per-element signature tokens generated
+	// across signatured passes — the index probe volume.
+	CounterSigTokens
+	// CounterCandidates counts sets matched by signature tokens before any
 	// refinement (the signature scheme's selectivity, Figure 5's driver).
-	Candidates int64
-	// AfterCheck counts candidates surviving the check filter;
-	// CheckPruned counts the ones it rejected (Candidates = AfterCheck +
-	// CheckPruned on check-filtered passes).
-	AfterCheck  int64
-	CheckPruned int64
-	// AfterNN counts candidates surviving the nearest-neighbor filter
-	// (equal to AfterCheck when the filter is disabled); NNPruned counts
-	// the refinement's rejections.
-	AfterNN  int64
-	NNPruned int64
-	// Verified counts maximum-matching computations.
-	Verified int64
-	// Scheme* count signatured passes by the concrete scheme that
-	// generated the probe signature. Under Scheme Auto they expose the
-	// per-query cost-based selection; under a fixed scheme exactly one
-	// of them grows.
-	SchemeWeighted       int64
-	SchemeCombUnweighted int64
-	SchemeSkyline        int64
-	SchemeDichotomy      int64
-	// TimedPasses counts the search passes whose stages were wall-timed
-	// (sampled per Options.StageSample, plus every explained query); the
-	// *Nanos fields hold those passes' summed per-stage durations.
-	TimedPasses  int64
-	SigNanos     int64
-	CollectNanos int64
-	RefineNanos  int64
-	VerifyNanos  int64
+	// CounterAfterCheck/CounterCheckPruned split them by the check filter
+	// (Candidates = AfterCheck + CheckPruned on check-filtered passes), and
+	// CounterAfterNN/CounterNNPruned split the survivors by the
+	// nearest-neighbor filter (AfterNN = AfterCheck when it is off).
+	CounterCandidates
+	CounterAfterCheck
+	CounterCheckPruned
+	CounterAfterNN
+	CounterNNPruned
+	// CounterVerified counts maximum-matching computations.
+	CounterVerified
+	// The four scheme counters count signatured passes by the concrete
+	// scheme that generated the probe signature: under Scheme Auto they
+	// expose the per-query cost-based choice, under a fixed scheme exactly
+	// one grows. They follow signature.Kind's order (see schemeCounter).
+	CounterSchemeWeighted
+	CounterSchemeCombUnweighted
+	CounterSchemeSkyline
+	CounterSchemeDichotomy
+	// CounterTimedPasses counts the passes whose stages were wall-timed
+	// (sampled per Options.StageSample, plus every pass of a query with a
+	// capture); the four stage counters after it, in Stage order, hold
+	// those passes' summed per-stage nanoseconds (see stageCounter).
+	CounterTimedPasses
+	CounterSignatureNanos
+	CounterCollectNanos
+	CounterRefineNanos
+	CounterVerifyNanos
+	// CounterElapsedNanos is wall time a caller measured around a query
+	// (batch paths, per item); the pipeline never charges it.
+	CounterElapsedNanos
+	// NumCounters sizes Counters.
+	NumCounters
+)
+
+// counterNames is the one name table, in Counter order. Funnel counters
+// use their /v1/explain and slow-query log keys, scheme counters the
+// public scheme names (Explain.Schemes keys, the /metrics scheme label).
+var counterNames = [NumCounters]string{
+	"passes", "full_scans", "sig_tokens", "candidates",
+	"after_check", "check_pruned", "after_nn", "nn_pruned", "verified",
+	"weighted", "combunweighted", "skyline", "dichotomy",
+	"timed_passes", "signature_ns", "collect_ns", "refine_ns", "verify_ns",
+	"elapsed_ns",
 }
 
-// Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() StatsSnapshot {
-	return StatsSnapshot{
-		SearchPasses:         atomic.LoadInt64(&e.st.searchPasses),
-		FullScans:            atomic.LoadInt64(&e.st.fullScans),
-		SigTokens:            atomic.LoadInt64(&e.st.sigTokens),
-		Candidates:           atomic.LoadInt64(&e.st.candidates),
-		AfterCheck:           atomic.LoadInt64(&e.st.afterCheck),
-		CheckPruned:          atomic.LoadInt64(&e.st.checkPruned),
-		AfterNN:              atomic.LoadInt64(&e.st.afterNN),
-		NNPruned:             atomic.LoadInt64(&e.st.nnPruned),
-		Verified:             atomic.LoadInt64(&e.st.verified),
-		SchemeWeighted:       atomic.LoadInt64(&e.st.schemeWeighted),
-		SchemeCombUnweighted: atomic.LoadInt64(&e.st.schemeComb),
-		SchemeSkyline:        atomic.LoadInt64(&e.st.schemeSkyline),
-		SchemeDichotomy:      atomic.LoadInt64(&e.st.schemeDichotomy),
-		TimedPasses:          atomic.LoadInt64(&e.st.timedPasses),
-		SigNanos:             atomic.LoadInt64(&e.st.sigNanos),
-		CollectNanos:         atomic.LoadInt64(&e.st.collectNanos),
-		RefineNanos:          atomic.LoadInt64(&e.st.refineNanos),
-		VerifyNanos:          atomic.LoadInt64(&e.st.verifyNanos),
+// String returns the counter's wire name.
+func (c Counter) String() string {
+	if c < 0 || c >= NumCounters {
+		return "unknown"
+	}
+	return counterNames[c]
+}
+
+// schemeCounter returns the counter of concrete scheme k. The selector
+// always resolves Auto to a concrete scheme before a pass probes.
+func schemeCounter(k signature.Kind) Counter { return CounterSchemeWeighted + Counter(k) }
+
+// stageCounter returns the nanoseconds counter of stage s.
+func stageCounter(s Stage) Counter { return CounterSignatureNanos + Counter(s) }
+
+// Counters is one set of funnel counts, indexed by Counter. It serves as
+// the engine's cumulative counters, as each worker's private shard of
+// them, and as a query's own capture (Query.Stats), which the concurrent
+// passes of one query may share. Adds are atomic; read a capture only
+// after its query returns, and the engine's counters through
+// Engine.Stats.
+type Counters [NumCounters]int64
+
+// Add charges n to counter c. It is nil-safe so the pipeline charges an
+// optional query capture unconditionally; a query without one pays one
+// predicted branch.
+func (cs *Counters) Add(c Counter, n int64) {
+	if cs != nil {
+		atomic.AddInt64(&cs[c], n)
 	}
 }
 
-// ResetStats zeroes the engine's counters.
-func (e *Engine) ResetStats() {
-	atomic.StoreInt64(&e.st.searchPasses, 0)
-	atomic.StoreInt64(&e.st.fullScans, 0)
-	atomic.StoreInt64(&e.st.sigTokens, 0)
-	atomic.StoreInt64(&e.st.candidates, 0)
-	atomic.StoreInt64(&e.st.afterCheck, 0)
-	atomic.StoreInt64(&e.st.checkPruned, 0)
-	atomic.StoreInt64(&e.st.afterNN, 0)
-	atomic.StoreInt64(&e.st.nnPruned, 0)
-	atomic.StoreInt64(&e.st.verified, 0)
-	atomic.StoreInt64(&e.st.schemeWeighted, 0)
-	atomic.StoreInt64(&e.st.schemeComb, 0)
-	atomic.StoreInt64(&e.st.schemeSkyline, 0)
-	atomic.StoreInt64(&e.st.schemeDichotomy, 0)
-	atomic.StoreInt64(&e.st.timedPasses, 0)
-	atomic.StoreInt64(&e.st.sigNanos, 0)
-	atomic.StoreInt64(&e.st.collectNanos, 0)
-	atomic.StoreInt64(&e.st.refineNanos, 0)
-	atomic.StoreInt64(&e.st.verifyNanos, 0)
+// Load returns an atomic point-in-time copy of the counters.
+func (cs *Counters) Load() Counters {
+	var out Counters
+	for c := range cs {
+		out[c] = atomic.LoadInt64(&cs[c])
+	}
+	return out
 }
 
-// String renders the snapshot as one report line.
-func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("passes=%d full-scans=%d sig-tokens=%d candidates=%d after-check=%d after-nn=%d verified=%d",
-		s.SearchPasses, s.FullScans, s.SigTokens, s.Candidates, s.AfterCheck, s.AfterNN, s.Verified)
+// merge folds a retiring worker's shard into cs. Workers accumulate
+// privately and merge once, so hot verification loops never contend on
+// the engine's shared counters.
+func (cs *Counters) merge(from *Counters) {
+	for c := range from {
+		atomic.AddInt64(&cs[c], atomic.LoadInt64(&from[c]))
+	}
+}
+
+// reset zeroes a retired worker's shard so the worker can be pooled and
+// reused without double-counting. Only safe with no concurrent writers.
+func (cs *Counters) reset() {
+	*cs = Counters{}
+}
+
+// Stats returns a snapshot of the engine's cumulative counters.
+func (e *Engine) Stats() Counters {
+	return e.st.Load()
 }

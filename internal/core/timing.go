@@ -66,15 +66,12 @@ func (w *worker) sampleTick(every int) bool {
 // the plan across goroutines); by the time this runs those goroutines have
 // been joined.
 func (p *plan) finishTiming() {
-	refine := atomic.LoadInt64(&p.refineNanos)
-	verify := atomic.LoadInt64(&p.verifyNanos)
-	p.w.st.addStageNanos(p.sigNanos, p.collectNanos, refine, verify)
-	p.ps.addStageNanos(p.sigNanos, p.collectNanos, refine, verify)
-	e := p.e
-	e.stage[StageSignature].Observe(time.Duration(p.sigNanos))
-	e.stage[StageCollect].Observe(time.Duration(p.collectNanos))
-	e.stage[StageRefine].Observe(time.Duration(refine))
-	e.stage[StageVerify].Observe(time.Duration(verify))
+	p.charge(p.w, CounterTimedPasses, 1)
+	for s := range p.nanos {
+		ns := atomic.LoadInt64(&p.nanos[s])
+		p.charge(p.w, stageCounter(Stage(s)), ns)
+		p.e.stage[s].Observe(time.Duration(ns))
+	}
 }
 
 // StageLatencies returns snapshots of the engine's per-stage latency

@@ -21,12 +21,11 @@ func TestStageTimingSampled(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.TimedPasses != queries {
-		t.Fatalf("TimedPasses = %d, want %d", st.TimedPasses, queries)
+	if st[CounterTimedPasses] != queries {
+		t.Fatalf("TimedPasses = %d, want %d", st[CounterTimedPasses], queries)
 	}
-	if st.SigNanos <= 0 || st.CollectNanos <= 0 || st.VerifyNanos <= 0 {
-		t.Errorf("stage nanos not accumulated: sig=%d collect=%d refine=%d verify=%d",
-			st.SigNanos, st.CollectNanos, st.RefineNanos, st.VerifyNanos)
+	if st[CounterSignatureNanos] <= 0 || st[CounterCollectNanos] <= 0 || st[CounterVerifyNanos] <= 0 {
+		t.Errorf("stage nanos not accumulated: %v", st[CounterSignatureNanos:CounterElapsedNanos])
 	}
 	hs := e.StageLatencies()
 	for s := Stage(0); s < NumStages; s++ {
@@ -44,8 +43,8 @@ func TestStageTimingDisabled(t *testing.T) {
 	if _, err := e.SearchContext(context.Background(), ref); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.TimedPasses != 0 {
-		t.Fatalf("TimedPasses = %d with sampling disabled", st.TimedPasses)
+	if st := e.Stats(); st[CounterTimedPasses] != 0 {
+		t.Fatalf("TimedPasses = %d with sampling disabled", st[CounterTimedPasses])
 	}
 	for s, h := range e.StageLatencies() {
 		if h.Count != 0 {
@@ -60,20 +59,19 @@ func TestStageTimingDisabled(t *testing.T) {
 func TestExplainAlwaysTimed(t *testing.T) {
 	e, ref := allocFixture(t, signature.Dichotomy)
 	e.opts.StageSample = -1 // even with sampling off
-	var ps PassStats
+	var ps Counters
 	q := &Query{Stats: &ps}
 	sr := e.NewSearcher()
 	defer sr.Close()
 	if _, err := sr.SearchQuery(context.Background(), ref, -1, q); err != nil {
 		t.Fatal(err)
 	}
-	if ps.TimedPasses != ps.Passes || ps.TimedPasses == 0 {
+	if ps[CounterTimedPasses] != ps[CounterPasses] || ps[CounterTimedPasses] == 0 {
 		t.Fatalf("TimedPasses = %d, Passes = %d; explained queries must time every pass",
-			ps.TimedPasses, ps.Passes)
+			ps[CounterTimedPasses], ps[CounterPasses])
 	}
-	if ps.SigNanos <= 0 || ps.CollectNanos <= 0 || ps.VerifyNanos <= 0 {
-		t.Errorf("capture missing stage nanos: sig=%d collect=%d refine=%d verify=%d",
-			ps.SigNanos, ps.CollectNanos, ps.RefineNanos, ps.VerifyNanos)
+	if ps[CounterSignatureNanos] <= 0 || ps[CounterCollectNanos] <= 0 || ps[CounterVerifyNanos] <= 0 {
+		t.Errorf("capture missing stage nanos: %v", ps[CounterSignatureNanos:CounterElapsedNanos])
 	}
 }
 

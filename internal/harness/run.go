@@ -80,10 +80,10 @@ func RunConfig(w Workload, opts core.Options, variant, figure string) Row {
 	row.TimeSec = time.Since(start).Seconds()
 
 	st := eng.Stats()
-	row.Candidates = st.Candidates
-	row.AfterCheck = st.AfterCheck
-	row.AfterNN = st.AfterNN
-	row.Verified = st.Verified
+	row.Candidates = st[core.CounterCandidates]
+	row.AfterCheck = st[core.CounterAfterCheck]
+	row.AfterNN = st[core.CounterAfterNN]
+	row.Verified = st[core.CounterVerified]
 	return row
 }
 

@@ -1264,33 +1264,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(out, "# HELP silkmothd_engine_shards Shards the collection is partitioned into.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_engine_shards gauge\n")
 		fmt.Fprintf(out, "silkmothd_engine_shards %d\n", s.eng.Shards())
-		fmt.Fprintf(out, "# HELP silkmothd_engine_search_passes_total Search passes run by the engine.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_search_passes_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_search_passes_total %d\n", st.SearchPasses)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_full_scans_total Signatureless full-scan passes run by the engine.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_full_scans_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_full_scans_total %d\n", st.FullScans)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_signature_tokens_total Signature tokens generated across passes.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_signature_tokens_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_signature_tokens_total %d\n", st.SigTokens)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_candidates_total Candidate sets matched by signature tokens before refinement.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_candidates_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_candidates_total %d\n", st.Candidates)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_check_pruned_total Candidates rejected by the check filter.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_check_pruned_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_check_pruned_total %d\n", st.CheckPruned)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_nn_pruned_total Candidates rejected by the nearest-neighbor filter.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_nn_pruned_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_nn_pruned_total %d\n", st.NNPruned)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_verified_total Maximum-matching verifications run by the engine.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_verified_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_verified_total %d\n", st.Verified)
-		fmt.Fprintf(out, "# HELP silkmothd_engine_scheme_selected_total Signatured passes by concrete signature scheme.\n")
-		fmt.Fprintf(out, "# TYPE silkmothd_engine_scheme_selected_total counter\n")
-		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"weighted\"} %d\n", st.SchemeWeighted)
-		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"skyline\"} %d\n", st.SchemeSkyline)
-		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"dichotomy\"} %d\n", st.SchemeDichotomy)
-		fmt.Fprintf(out, "silkmothd_engine_scheme_selected_total{scheme=\"combunweighted\"} %d\n", st.SchemeCombUnweighted)
+		// The engine's pipeline funnel: one row per series, a family's
+		// HELP and TYPE written before its first row.
+		prev := ""
+		for _, f := range []struct {
+			name, help, labels string
+			v                  int64
+		}{
+			{"silkmothd_engine_search_passes_total", "Search passes run by the engine.", "", st.SearchPasses},
+			{"silkmothd_engine_full_scans_total", "Signatureless full-scan passes run by the engine.", "", st.FullScans},
+			{"silkmothd_engine_signature_tokens_total", "Signature tokens generated across passes.", "", st.SigTokens},
+			{"silkmothd_engine_candidates_total", "Candidate sets matched by signature tokens before refinement.", "", st.Candidates},
+			{"silkmothd_engine_check_pruned_total", "Candidates rejected by the check filter.", "", st.CheckPruned},
+			{"silkmothd_engine_nn_pruned_total", "Candidates rejected by the nearest-neighbor filter.", "", st.NNPruned},
+			{"silkmothd_engine_verified_total", "Maximum-matching verifications run by the engine.", "", st.Verified},
+			{"silkmothd_engine_scheme_selected_total", "Signatured passes by concrete signature scheme.", `{scheme="weighted"}`, st.SchemeWeighted},
+			{"silkmothd_engine_scheme_selected_total", "", `{scheme="skyline"}`, st.SchemeSkyline},
+			{"silkmothd_engine_scheme_selected_total", "", `{scheme="dichotomy"}`, st.SchemeDichotomy},
+			{"silkmothd_engine_scheme_selected_total", "", `{scheme="combunweighted"}`, st.SchemeCombUnweighted},
+		} {
+			if f.name != prev {
+				fmt.Fprintf(out, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name)
+				prev = f.name
+			}
+			fmt.Fprintf(out, "%s%s %d\n", f.name, f.labels, f.v)
+		}
 		fmt.Fprintf(out, "# HELP silkmothd_result_cache_entries Entries in the result cache.\n")
 		fmt.Fprintf(out, "# TYPE silkmothd_result_cache_entries gauge\n")
 		fmt.Fprintf(out, "silkmothd_result_cache_entries %d\n", s.cache.len())

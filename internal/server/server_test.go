@@ -576,20 +576,26 @@ func TestSearchBatchCached(t *testing.T) {
 }
 
 func TestStatsAndMetricsShards(t *testing.T) {
-	s, _ := newShardedTestServer(t, 2, Options{})
-	w := get(t, s, "/v1/stats")
-	if w.Code != http.StatusOK {
-		t.Fatalf("stats code = %d", w.Code)
-	}
-	st := decode[statsResponse](t, w)
-	if st.Shards != 2 || st.Sets != 3 {
-		t.Fatalf("stats shards=%d sets=%d, want 2 and 3", st.Shards, st.Sets)
-	}
-	w = get(t, s, "/metrics")
-	if w.Code != http.StatusOK {
-		t.Fatalf("metrics code = %d", w.Code)
-	}
-	if !strings.Contains(w.Body.String(), "silkmothd_engine_shards 2") {
-		t.Fatalf("metrics missing shard gauge:\n%s", w.Body.String())
+	// Shards 0 is the unsharded default, which reports one shard.
+	for _, tc := range []struct{ shards, want int }{{0, 1}, {2, 2}} {
+		s, _ := newShardedTestServer(t, tc.shards, Options{})
+		w := get(t, s, "/v1/stats")
+		if w.Code != http.StatusOK {
+			t.Fatalf("stats code = %d", w.Code)
+		}
+		st := decode[statsResponse](t, w)
+		if st.Shards != tc.want || st.Sets != 3 {
+			t.Fatalf("stats shards=%d sets=%d, want %d and 3", st.Shards, st.Sets, tc.want)
+		}
+		if !strings.Contains(w.Body.String(), fmt.Sprintf(`"shards":%d`, tc.want)) {
+			t.Fatalf("stats body missing \"shards\":%d:\n%s", tc.want, w.Body.String())
+		}
+		w = get(t, s, "/metrics")
+		if w.Code != http.StatusOK {
+			t.Fatalf("metrics code = %d", w.Code)
+		}
+		if !strings.Contains(w.Body.String(), fmt.Sprintf("silkmothd_engine_shards %d\n", tc.want)) {
+			t.Fatalf("metrics missing shard gauge %d:\n%s", tc.want, w.Body.String())
+		}
 	}
 }

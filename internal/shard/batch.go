@@ -26,8 +26,8 @@ func (e *Engine) SearchBatchContext(ctx context.Context, refs []*dataset.Set) ([
 // when non-nil, must align positionally with refs, and each item's passes
 // run under its own query (nil items inherit the engine's configuration).
 // An item whose query carries a Stats capture also gets its wall time
-// accumulated there (AddElapsed), measured around the item's full
-// cross-shard pass sequence.
+// accumulated there (core.CounterElapsedNanos), measured around the item's
+// full cross-shard pass sequence.
 func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs []*core.Query) ([][]core.Match, error) {
 	if len(refs) == 0 {
 		return nil, nil
@@ -88,7 +88,7 @@ func (e *Engine) SearchBatchQueries(ctx context.Context, refs []*dataset.Set, qs
 		sortMatches(ms)
 		out[qi] = ms
 		if timed {
-			q.Stats.AddElapsed(time.Since(start))
+			q.Stats.Add(core.CounterElapsedNanos, int64(time.Since(start)))
 		}
 		return nil
 	})

@@ -1,6 +1,7 @@
 package silkmoth
 
 import (
+	"context"
 	"testing"
 )
 
@@ -89,5 +90,79 @@ func TestExplainStages(t *testing.T) {
 	}
 	if stagesSum > ex.Elapsed {
 		t.Errorf("stage times %v exceed total elapsed %v", stagesSum, ex.Elapsed)
+	}
+}
+
+// TestExplainMatchesStatsDelta pins the query capture and the engine's
+// cumulative counters together: for each query shape on each engine shape,
+// one explained call's funnel and stage times must equal the Stats delta
+// across that call.
+func TestExplainMatchesStatsDelta(t *testing.T) {
+	sets := shardedCorpus(40)
+	calls := []struct {
+		name string
+		run  func(*Engine, QueryOption) error
+	}{
+		{"search", func(e *Engine, o QueryOption) error {
+			_, err := e.SearchContext(context.Background(), sets[7], o)
+			return err
+		}},
+		{"topk", func(e *Engine, o QueryOption) error {
+			_, err := e.SearchTopKContext(context.Background(), sets[7], 3, o)
+			return err
+		}},
+		{"discover", func(e *Engine, o QueryOption) error {
+			_, err := e.DiscoverContext(context.Background(), o)
+			return err
+		}},
+	}
+	statsFunnel := func(st Stats) [13]int64 {
+		return [...]int64{st.SearchPasses, st.FullScans, st.SigTokens, st.Candidates,
+			st.AfterCheck, st.CheckPruned, st.AfterNN, st.NNPruned, st.Verified,
+			st.SchemeWeighted, st.SchemeSkyline, st.SchemeDichotomy, st.SchemeCombUnweighted}
+	}
+	for _, shards := range []int{1, 2} {
+		eng, err := NewEngine(sets, Config{
+			Similarity:  Jaccard,
+			Delta:       0.5,
+			Alpha:       0.3,
+			Shards:      shards,
+			Concurrency: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range calls {
+			before := eng.Stats()
+			var ex Explain
+			if err := c.run(eng, WithExplain(&ex)); err != nil {
+				t.Fatalf("shards=%d %s: %v", shards, c.name, err)
+			}
+			after := eng.Stats()
+			got := [...]int64{ex.Passes, ex.FullScans, ex.SigTokens, ex.Candidates,
+				ex.AfterCheck, ex.CheckPruned, ex.AfterNN, ex.NNPruned, ex.Verified,
+				ex.Schemes[SchemeWeighted.String()], ex.Schemes[SchemeSkyline.String()],
+				ex.Schemes[SchemeDichotomy.String()], ex.Schemes[SchemeCombUnweighted.String()]}
+			var want [13]int64
+			b, a := statsFunnel(before), statsFunnel(after)
+			for i := range want {
+				want[i] = a[i] - b[i]
+			}
+			if got != want {
+				t.Errorf("shards=%d %s: explain funnel %v, stats delta %v", shards, c.name, got, want)
+			}
+			stages := StageTimes{
+				Signature: after.Stages.Signature - before.Stages.Signature,
+				Collect:   after.Stages.Collect - before.Stages.Collect,
+				Refine:    after.Stages.Refine - before.Stages.Refine,
+				Verify:    after.Stages.Verify - before.Stages.Verify,
+			}
+			if ex.Stages != stages {
+				t.Errorf("shards=%d %s: explain stages %+v, stats delta %+v", shards, c.name, ex.Stages, stages)
+			}
+			if ex.Candidates == 0 || ex.Verified == 0 {
+				t.Errorf("shards=%d %s: degenerate funnel %v", shards, c.name, got)
+			}
+		}
 	}
 }

@@ -148,7 +148,7 @@ func compileOptions(opts []QueryOption) (queryOptions, error) {
 // override form, allocating the stats capture when explain was requested.
 // It returns nil when nothing was overridden or captured, which keeps
 // option-less queries on the exact pre-options code path.
-func (qo *queryOptions) coreQuery() (*core.Query, *core.PassStats) {
+func (qo *queryOptions) coreQuery() (*core.Query, *core.Counters) {
 	if !qo.hasScheme && !qo.hasDelta && qo.check == core.ToggleInherit &&
 		qo.nn == core.ToggleInherit && qo.reduction == core.ToggleInherit &&
 		qo.explain == nil {
@@ -168,9 +168,9 @@ func (qo *queryOptions) coreQuery() (*core.Query, *core.PassStats) {
 		}
 		q.Scheme, q.SchemeSet = kind, true
 	}
-	var ps *core.PassStats
+	var ps *core.Counters
 	if qo.explain != nil {
-		ps = &core.PassStats{}
+		ps = &core.Counters{}
 		q.Stats = ps
 	}
 	return q, ps
@@ -179,12 +179,12 @@ func (qo *queryOptions) coreQuery() (*core.Query, *core.PassStats) {
 // finishExplain writes the capture into the caller's Explain destination.
 // elapsed < 0 means "use the capture's own accumulated wall time" (batch
 // items time themselves; single queries are timed around the whole call).
-func (qo *queryOptions) finishExplain(ps *core.PassStats, elapsed time.Duration) {
+func (qo *queryOptions) finishExplain(ps *core.Counters, elapsed time.Duration) {
 	if qo.explain == nil || ps == nil {
 		return
 	}
 	if elapsed < 0 {
-		elapsed = ps.Elapsed()
+		elapsed = time.Duration(ps[core.CounterElapsedNanos])
 	}
 	*qo.explain = explainFromPass(ps, elapsed)
 }
@@ -237,48 +237,34 @@ type Explain struct {
 }
 
 // explainFromPass converts a core stats capture into the public shape.
-func explainFromPass(ps *core.PassStats, elapsed time.Duration) Explain {
+func explainFromPass(ps *core.Counters, elapsed time.Duration) Explain {
 	ex := Explain{
-		Passes:      ps.Passes,
-		FullScans:   ps.FullScans,
-		SigTokens:   ps.SigTokens,
-		Candidates:  ps.Candidates,
-		AfterCheck:  ps.AfterCheck,
-		CheckPruned: ps.CheckPruned,
-		AfterNN:     ps.AfterNN,
-		NNPruned:    ps.NNPruned,
-		Verified:    ps.Verified,
+		Passes:      ps[core.CounterPasses],
+		FullScans:   ps[core.CounterFullScans],
+		SigTokens:   ps[core.CounterSigTokens],
+		Candidates:  ps[core.CounterCandidates],
+		AfterCheck:  ps[core.CounterAfterCheck],
+		CheckPruned: ps[core.CounterCheckPruned],
+		AfterNN:     ps[core.CounterAfterNN],
+		NNPruned:    ps[core.CounterNNPruned],
+		Verified:    ps[core.CounterVerified],
 		Elapsed:     elapsed,
-		Stages: StageTimes{
-			Signature: time.Duration(ps.SigNanos),
-			Collect:   time.Duration(ps.CollectNanos),
-			Refine:    time.Duration(ps.RefineNanos),
-			Verify:    time.Duration(ps.VerifyNanos),
-		},
-	}
-	type schemeCount struct {
-		name  string
-		count int64
-	}
-	counts := []schemeCount{
-		{SchemeWeighted.String(), ps.SchemeWeighted},
-		{SchemeSkyline.String(), ps.SchemeSkyline},
-		{SchemeDichotomy.String(), ps.SchemeDichotomy},
-		{SchemeCombUnweighted.String(), ps.SchemeCombUnweighted},
+		Stages:      stageTimes(ps),
 	}
 	var total int64
 	var last string
 	distinct := 0
-	for _, sc := range counts {
-		if sc.count == 0 {
+	// The scheme counters' names are the public scheme names.
+	for c := core.CounterSchemeWeighted; c <= core.CounterSchemeDichotomy; c++ {
+		if ps[c] == 0 {
 			continue
 		}
 		if ex.Schemes == nil {
 			ex.Schemes = make(map[string]int64, 2)
 		}
-		ex.Schemes[sc.name] = sc.count
-		total += sc.count
-		last = sc.name
+		ex.Schemes[c.String()] = ps[c]
+		total += ps[c]
+		last = c.String()
 		distinct++
 	}
 	switch {
@@ -290,6 +276,16 @@ func explainFromPass(ps *core.PassStats, elapsed time.Duration) Explain {
 		ex.Scheme = "mixed"
 	}
 	return ex
+}
+
+// stageTimes reads the four stage-nanos counters.
+func stageTimes(c *core.Counters) StageTimes {
+	return StageTimes{
+		Signature: time.Duration(c[core.CounterSignatureNanos]),
+		Collect:   time.Duration(c[core.CounterCollectNanos]),
+		Refine:    time.Duration(c[core.CounterRefineNanos]),
+		Verify:    time.Duration(c[core.CounterVerifyNanos]),
+	}
 }
 
 // Result is a query's full outcome: its matches plus, when requested, the
